@@ -4,8 +4,9 @@
 #   scripts/check.sh [build-dir]
 #
 # Runs: configure (with -DTAWA_WERROR=ON so library warnings fail the
-# build), build, ctest, and the execution-engine microbenchmark in smoke
-# mode (which enforces the speedup bars and writes
+# build), build, ctest, serve_test 50 times in a row (its socket shutdown
+# tests are race-sensitive), and the execution-engine microbenchmark in
+# smoke mode (which enforces the speedup bars and writes
 # $BUILD_DIR/BENCH_interp.json).
 #
 # Then exercises the disk program cache: the test suite runs again with
@@ -86,6 +87,12 @@ cmake --build "$BUILD_DIR" -j
 
 echo "== ctest =="
 (cd "$BUILD_DIR" && ctest --output-on-failure --no-tests=error -j "$(nproc)")
+
+echo "== serve_test repeated (socket shutdown race guard) =="
+# The socket tests race client connects against a graceful shutdown; a
+# race there fails one run in dozens, so one pass cannot catch it.
+(cd "$BUILD_DIR" && ctest --output-on-failure --no-tests=error \
+  --repeat until-fail:50 -R serve_test)
 
 echo "== micro_interp (smoke) =="
 (cd "$BUILD_DIR" && timeout "$SMOKE_TIMEOUT" ./micro_interp --smoke)

@@ -690,11 +690,10 @@ void SocketServer::acceptLoop() {
     int Fd = ::accept(ListenFd, nullptr, nullptr);
     if (Fd < 0)
       continue;
+    // Registered even when shutdown() has already begun: like the backlog
+    // it drains, the peer then gets the structured shutting-down rejection
+    // and a clean EOF instead of a bare close.
     std::lock_guard<std::mutex> L(ConnMu);
-    if (Stopped) {
-      ::close(Fd);
-      return;
-    }
     ConnFds.push_back(Fd);
     ConnThreads.emplace_back([this, Fd] { handleConnection(Fd); });
   }

@@ -381,7 +381,7 @@ private:
     Act.Kind = ActionKind::BarWait;
     Act.Bar = Bar;
     Act.Idx = static_cast<int32_t>(Idx);
-    Act.Parity = static_cast<int32_t>(Parity % 2);
+    Act.Parity = static_cast<int8_t>(Parity % 2);
     Act.Cycles = Config.BarrierOpCycles;
     emitAction(A, Act);
     if (TraceEnv) {
@@ -1259,7 +1259,7 @@ void BcExec::step(AgentRun &Run) {
       const Inst &I = *IP;
       Action Act;
       Act.Kind = static_cast<ActionKind>(I.Imm2);
-      Act.Lookahead = static_cast<int32_t>(I.Imm1);
+      Act.Lookahead = narrowLookahead(I.Imm1);
       Act.Cycles = I.FImm;
       Act.Bytes = I.Imm0;
       emitAction(A, Act);
@@ -1393,7 +1393,7 @@ void BcExec::step(AgentRun &Run) {
       A.Trace.emit(Issue);
       Action Wait;
       Wait.Kind = ActionKind::TensorWait;
-      Wait.Pendings = I.Imm1;
+      Wait.Pendings = narrowPendings(I.Imm1);
       A.Trace.emit(Wait);
       const RValue &X = V(0), &Y = V(1), &Acc = V(2);
       if (!Functional || !X.T) {
@@ -1621,7 +1621,7 @@ void BcExec::step(AgentRun &Run) {
       flushCuda(A);
       Action Act;
       Act.Kind = ActionKind::TensorWait;
-      Act.Pendings = IP->Imm0;
+      Act.Pendings = narrowPendings(IP->Imm0);
       A.Trace.emit(Act);
       TAWA_NEXT();
     }
@@ -1645,7 +1645,7 @@ void BcExec::step(AgentRun &Run) {
       flushCuda(A);
       Action Wait;
       Wait.Kind = ActionKind::TensorWait;
-      Wait.Pendings = I.Imm1;
+      Wait.Pendings = narrowPendings(I.Imm1);
       A.Trace.emit(Wait);
       TAWA_NEXT();
     }

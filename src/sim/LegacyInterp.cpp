@@ -712,7 +712,7 @@ bool CtaExec::evalOp(Operation *Op, Env &E, AgentCtx &A) {
     Action Act;
     if (SwPipelineDepth > 0) {
       Act.Kind = ActionKind::CopyPipelined;
-      Act.Lookahead = static_cast<int32_t>(SwPipelineDepth);
+      Act.Lookahead = narrowLookahead(SwPipelineDepth);
       // cp.async copies are issued by the CUDA cores.
       Act.Cycles = static_cast<double>(Ty->getNumBytes()) /
                    Config.CpAsyncIssueBytesPerCycle;
@@ -959,7 +959,7 @@ bool CtaExec::evalOp(Operation *Op, Env &E, AgentCtx &A) {
     Act.Kind = ActionKind::BarWait;
     Act.Bar = Bar;
     Act.Idx = static_cast<int32_t>(Idx);
-    Act.Parity = static_cast<int32_t>(Parity % 2);
+    Act.Parity = static_cast<int8_t>(Parity % 2);
     Act.Cycles = Config.BarrierOpCycles;
     EmitAction(Act);
     BarrierArray &Arr = BarrierArrays[Bar];
@@ -1090,7 +1090,7 @@ bool CtaExec::evalOp(Operation *Op, Env &E, AgentCtx &A) {
     flushCuda(A);
     Action Act;
     Act.Kind = ActionKind::TensorWait;
-    Act.Pendings = Op->getIntAttr("pendings");
+    Act.Pendings = narrowPendings(Op->getIntAttr("pendings"));
     A.Trace.emit(Act);
     return true;
   }

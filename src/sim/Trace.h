@@ -12,7 +12,9 @@
 #ifndef TAWA_SIM_TRACE_H
 #define TAWA_SIM_TRACE_H
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -36,16 +38,38 @@ enum class ActionKind : uint8_t {
   CtaSync,      ///< Block-wide named barrier (software pipelining).
 };
 
+/// One timed action. Packed to 32 bytes (traces hold millions of these):
+/// the two wide fields first, then the 32-, 16- and 8-bit ones. Fields fed
+/// from parsed IR attributes (Pendings, Lookahead) are narrowed through the
+/// saturating helpers below, never by a plain cast.
 struct Action {
-  ActionKind Kind;
-  double Cycles = 0;   ///< Work duration / issue cost.
-  int64_t Bytes = 0;   ///< Transfer size (before reuse scaling).
-  int32_t Bar = -1;    ///< Barrier array id.
-  int32_t Idx = 0;     ///< Barrier index within the array.
-  int32_t Parity = 0;  ///< Wait parity.
-  int64_t Pendings = 0;///< TensorWait bound.
-  int32_t Lookahead = 0; ///< CopyPipelined ring depth.
+  double Cycles = 0;      ///< Work duration / issue cost.
+  int64_t Bytes = 0;      ///< Transfer size (before reuse scaling).
+  int32_t Bar = -1;       ///< Barrier array id.
+  int32_t Idx = 0;        ///< Barrier index within the array.
+  int32_t Pendings = 0;   ///< TensorWait bound.
+  int16_t Lookahead = 0;  ///< CopyPipelined ring depth.
+  int8_t Parity = 0;      ///< Wait parity.
+  ActionKind Kind = ActionKind::CudaWork;
 };
+static_assert(sizeof(Action) == 32, "Action must stay packed to 32 bytes");
+
+/// TensorWait bound from an IR `pendings` value. Saturates, so a bound
+/// beyond int32 still means "wait for nothing" instead of wrapping to a
+/// small (or zero) count.
+inline int32_t narrowPendings(int64_t Pendings) {
+  return static_cast<int32_t>(
+      std::clamp<int64_t>(Pendings, std::numeric_limits<int32_t>::min(),
+                          std::numeric_limits<int32_t>::max()));
+}
+
+/// CopyPipelined ring depth from a `sw_pipeline_depth` value. Saturates;
+/// every depth past the replay's 64-iteration history behaves alike.
+inline int16_t narrowLookahead(int64_t Lookahead) {
+  return static_cast<int16_t>(
+      std::clamp<int64_t>(Lookahead, std::numeric_limits<int16_t>::min(),
+                          std::numeric_limits<int16_t>::max()));
+}
 
 /// One agent's (warp group's) linear action sequence.
 struct AgentTrace {

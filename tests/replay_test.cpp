@@ -2,15 +2,22 @@
 //
 // Hand-built action traces exercising the replay engine: mbarrier parity
 // waits and transaction counts, tensor-core FIFO waits, async-TMA overlap,
-// deadlock detection, DRAM serialization, and the software-pipelined copy
-// lookahead.
+// deadlock detection, DRAM serialization, the software-pipelined copy
+// lookahead, and the scheduler's tie-break and wake hand-off rules. The
+// ReplayPin cases pin end-to-end timing-mode results bit for bit, one point
+// per schedule shape, so a replay rewrite cannot drift a single ulp.
 //
 //===----------------------------------------------------------------------===//
 
+#include "driver/Runner.h"
+#include "ir/Parser.h"
+#include "sim/Interpreter.h"
 #include "sim/Replay.h"
 
 #include <gtest/gtest.h>
+#include <limits>
 
+using namespace tawa;
 using namespace tawa::sim;
 
 namespace {
@@ -281,6 +288,265 @@ TEST(Replay, PipelinedCopyUsesLookahead) {
   double ShallowCycles =
       replaySmSchedule({&Shallow}, Cfg, ReplayParams()).Cycles;
   EXPECT_LT(DeepCycles, ShallowCycles);
+}
+
+/// The replay's per-SM DRAM bandwidth for a transfer class, in the exact
+/// operation order Replay.cpp uses (so expectations can be bit-exact).
+double bwPerSm(const GpuConfig &Cfg, const ReplayParams &Params,
+               double Efficiency) {
+  return Cfg.HbmTBps * 1e12 / (Params.BwShareSms * Cfg.ClockGhz * 1e9) *
+         Efficiency;
+}
+
+TEST(Replay, EqualReadyAtGoesToLowestAgentIndex) {
+  // Both agents are ready at the CTA base time and race for the tensor
+  // core; the tie goes to agent 0, so agent 1's short MMA queues behind
+  // agent 0's long one and its tail starts late.
+  AgentTrace A0, A1;
+  A0.Name = "wg0";
+  A0.emit(tensorIssue(1000));
+  A0.emit(tensorWait(0));
+  A1.Name = "wg1";
+  A1.emit(tensorIssue(10));
+  A1.emit(tensorWait(0));
+  A1.emit(cuda(5000));
+  CtaTrace T = makeCta({A0, A1}, 0, {});
+  GpuConfig Cfg;
+  ReplayResult R = replaySmSchedule({&T}, Cfg, ReplayParams());
+  double Base = Cfg.launchCycles() + Cfg.CtaStartCycles;
+  EXPECT_EQ(R.Cycles, Base + Cfg.WgmmaIssueCycles + 1000 + 10 + 5000);
+}
+
+TEST(Replay, WakeOfEarlierAgentHandsControlBack) {
+  // Agent 1 runs alone while agent 0 is blocked; its arrive wakes agent 0
+  // at the same time. The woken, lower-index agent must take the next
+  // step (and the tensor core) rather than agent 1 running on.
+  AgentTrace A0, A1;
+  A0.Name = "wg0";
+  A0.emit(wait(0, 0, 0));
+  A0.emit(tensorIssue(1000));
+  A0.emit(tensorWait(0));
+  A1.Name = "wg1";
+  A1.emit(cuda(100));
+  A1.emit(arrive(0, 0));
+  A1.emit(cuda(1));
+  A1.emit(tensorIssue(10));
+  A1.emit(tensorWait(0));
+  A1.emit(cuda(5000));
+  CtaTrace T = makeCta({A0, A1}, 1, {1});
+  GpuConfig Cfg;
+  ReplayResult R = replaySmSchedule({&T}, Cfg, ReplayParams());
+  ASSERT_FALSE(R.Deadlock);
+  double Base = Cfg.launchCycles() + Cfg.CtaStartCycles;
+  EXPECT_EQ(R.Cycles, Base + 100 + Cfg.WgmmaIssueCycles + 1000 + 10 + 5000);
+}
+
+TEST(Replay, LookaheadBeyondIterHistoryFallsBackToBaseTime) {
+  // 70 iteration marks, then a pipelined copy. The history keeps the last
+  // 64 marks: lookahead 64 reaches mark 6, lookahead 65 reaches nothing
+  // and the copy counts as issued at the CTA's start.
+  GpuConfig Cfg;
+  ReplayParams Params;
+  const int64_t Bytes = 1 << 20;
+  auto Run = [&](int32_t Lookahead) {
+    AgentTrace A;
+    A.Name = "wg";
+    for (int K = 0; K < 70; ++K) {
+      Action Mark;
+      Mark.Kind = ActionKind::IterMark;
+      A.emit(Mark);
+      A.emit(cuda(100));
+    }
+    Action Copy;
+    Copy.Kind = ActionKind::CopyPipelined;
+    Copy.Bytes = Bytes;
+    Copy.Lookahead = static_cast<int16_t>(Lookahead);
+    A.emit(Copy);
+    CtaTrace T = makeCta({A}, 0, {});
+    return replaySmSchedule({&T}, Cfg, Params).Cycles;
+  };
+  double Base = Cfg.launchCycles() + Cfg.CtaStartCycles;
+  double Service = static_cast<double>(Bytes) /
+                   bwPerSm(Cfg, Params, Cfg.CpAsyncBwEfficiency);
+  EXPECT_EQ(Run(65), Base + Service + Cfg.CpAsyncLatencyCycles);
+  EXPECT_EQ(Run(1000), Run(65));
+  EXPECT_NEAR(Run(64), Run(65) + 600, 1e-6);
+}
+
+TEST(Replay, TensorWaitDrainsLongFifo) {
+  // 100 MMAs queue on the tensor core; wait(5) must resume exactly when
+  // the 95th completes, wait(0) retires the rest, and the FIFO is reusable
+  // afterwards.
+  AgentTrace A;
+  A.Name = "wg";
+  for (int K = 0; K < 100; ++K)
+    A.emit(tensorIssue(1000));
+  A.emit(tensorWait(5));
+  A.emit(cuda(10000));
+  A.emit(tensorWait(0));
+  A.emit(tensorIssue(1000));
+  A.emit(tensorWait(0));
+  CtaTrace T = makeCta({A}, 0, {});
+  GpuConfig Cfg;
+  ReplayResult R = replaySmSchedule({&T}, Cfg, ReplayParams());
+  double Done95 =
+      Cfg.launchCycles() + Cfg.CtaStartCycles + Cfg.WgmmaIssueCycles;
+  for (int K = 0; K < 95; ++K)
+    Done95 += 1000;
+  EXPECT_EQ(R.Cycles, Done95 + 10000 + Cfg.WgmmaIssueCycles + 1000);
+  EXPECT_EQ(R.TensorBusyCycles, 101 * 1000.0);
+}
+
+TEST(Replay, NegativePendingsDrainsEverything) {
+  // A negative bound (reachable from a parsed `pendings` attribute) acts
+  // like 0, on an empty FIFO too.
+  auto Run = [](int32_t Pendings) {
+    AgentTrace A;
+    A.Name = "wg";
+    A.emit(tensorWait(Pendings));
+    A.emit(tensorIssue(1000));
+    A.emit(tensorIssue(1000));
+    A.emit(tensorWait(Pendings));
+    CtaTrace T = makeCta({A}, 0, {});
+    return replaySmSchedule({&T}, GpuConfig(), ReplayParams()).Cycles;
+  };
+  EXPECT_EQ(Run(-1), Run(0));
+  EXPECT_EQ(Run(std::numeric_limits<int32_t>::min()), Run(0));
+}
+
+TEST(Replay, ActionNarrowingSaturates) {
+  EXPECT_EQ(narrowPendings(int64_t(1) << 32),
+            std::numeric_limits<int32_t>::max());
+  EXPECT_EQ(narrowPendings(-(int64_t(1) << 40)),
+            std::numeric_limits<int32_t>::min());
+  EXPECT_EQ(narrowPendings(3), 3);
+  EXPECT_EQ(narrowLookahead(int64_t(1) << 32),
+            std::numeric_limits<int16_t>::max());
+  EXPECT_EQ(narrowLookahead(3), 3);
+}
+
+TEST(Replay, OversizedPendingsFromParsedIrWaitsForNothing) {
+  // `pendings = 2^32` would truncate to 0 (drain everything) through a
+  // plain int32 cast. Both engines must emit a saturated bound instead.
+  const char *Text = R"(module {
+  tt.func @k() {sym_name = "k"} {
+    ttng.warp_group_dot_wait {pendings = 4294967296}
+    tt.return
+  }
+}
+)";
+  for (bool Legacy : {false, true}) {
+    IrContext Ctx;
+    std::string Err;
+    std::unique_ptr<Module> M = parseModule(Ctx, Text, Err);
+    ASSERT_TRUE(M) << Err;
+    GpuConfig Cfg;
+    Interpreter Interp(*M, Cfg);
+    RunOptions Opts;
+    Opts.UseLegacyInterp = Legacy;
+    CtaTrace T;
+    ASSERT_EQ(Interp.runCta(Opts, 0, 0, T), "");
+    int Waits = 0;
+    for (const AgentTrace &Agent : T.Agents)
+      for (const Action &Act : Agent.Actions)
+        if (Act.Kind == ActionKind::TensorWait) {
+          ++Waits;
+          EXPECT_EQ(Act.Pendings, std::numeric_limits<int32_t>::max())
+              << (Legacy ? "legacy" : "bytecode");
+        }
+    EXPECT_EQ(Waits, 1) << (Legacy ? "legacy" : "bytecode");
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Bit-identity pins: timing-mode Runner results, one point per schedule
+// shape. The literals are exact (hexfloat); any change to replay order or
+// arithmetic shows up here as a failure, not as a tolerance.
+//===----------------------------------------------------------------------===//
+
+GemmWorkload pinGemm(int64_t M, int64_t N, int64_t K) {
+  GemmWorkload W;
+  W.M = M;
+  W.N = N;
+  W.K = K;
+  return W;
+}
+
+FrameworkEnvelope tawaGemmEnvelope(int64_t ConsumerGroups, bool Persistent) {
+  FrameworkEnvelope E = getGemmEnvelope(Framework::Tawa, pinGemm(1, 1, 1));
+  E.Options.NumConsumerGroups = ConsumerGroups;
+  E.Options.Persistent = Persistent;
+  // One consumer group cannot hold a 128x256 accumulator in registers.
+  E.TileN = 128 * ConsumerGroups;
+  return E;
+}
+
+void expectPinned(const RunResult &R, double Micros, double Utilization) {
+  ASSERT_TRUE(R.ok()) << R.Error;
+  EXPECT_EQ(R.Micros, Micros);
+  EXPECT_EQ(R.TensorUtilization, Utilization);
+}
+
+TEST(ReplayPin, PlainGemmRepeatsOneTrace) {
+  // Non-WS, synchronous loads; 2048 tiles put 16 copies of one trace on SM0.
+  Runner R;
+  expectPinned(R.runGemm(Framework::TritonNoPipe, pinGemm(8192, 8192, 1024)),
+               0x1.1b5444555b932p+10, 0x1.298d0a0058803p-3);
+}
+
+TEST(ReplayPin, WarpSpecializedGemm) {
+  Runner R;
+  expectPinned(R.runGemmCustom(pinGemm(8192, 8192, 1024),
+                               tawaGemmEnvelope(1, false), false),
+               0x1.fd29e9178984ep+7, 0x1.4b267a2287253p-1);
+}
+
+TEST(ReplayPin, CooperativeGemm) {
+  Runner R;
+  expectPinned(R.runGemmCustom(pinGemm(8192, 8192, 1024),
+                               tawaGemmEnvelope(2, false), false),
+               0x1.cb24528181cf8p+7, 0x1.6f3a58a84b54fp-1);
+}
+
+TEST(ReplayPin, PersistentGemm) {
+  Runner R;
+  expectPinned(R.runGemm(Framework::Tawa, pinGemm(4096, 4096, 1024)),
+               0x1.c1533cca59c0dp+5, 0x1.774042776c6cdp-1);
+}
+
+TEST(ReplayPin, TritonCopyPipelinedGemm) {
+  Runner R;
+  expectPinned(R.runGemm(Framework::Triton, pinGemm(8192, 8192, 1024)),
+               0x1.d4985a502dcdbp+7, 0x1.76365f927d53ep-1);
+}
+
+TEST(ReplayPin, CausalAttentionSampleList) {
+  // 1024 CTAs: SM0 replays eight sampled CTAs of differing trip counts.
+  AttentionWorkload W;
+  W.SeqLen = 4096;
+  W.Batch = 2;
+  W.Heads = 16;
+  W.Causal = true;
+  Runner R;
+  expectPinned(R.runAttention(Framework::Tawa, W),
+               0x1.963b8c4a5ac5ep+7, 0x1.bf7bc06266c37p-1);
+}
+
+TEST(ReplayPin, SplitKGemm) {
+  GemmWorkload W = pinGemm(512, 512, 16384);
+  W.SplitK = 4;
+  Runner R;
+  expectPinned(R.runGemm(Framework::Tawa, W),
+               0x1.9b8daf5b47201p+5, 0x1.99b0e085ef0bdp-1);
+}
+
+TEST(ReplayPin, GroupedGemm) {
+  GemmWorkload W = pinGemm(0, 4096, 4096);
+  W.MoE = true;
+  W.GroupMs = {384, 768, 0, 1536};
+  Runner R;
+  expectPinned(R.runGemm(Framework::Tawa, W),
+               0x1.2b234c204a9e7p+7, 0x1.a6bd37b42353bp-1);
 }
 
 } // namespace
