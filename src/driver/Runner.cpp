@@ -76,20 +76,56 @@ int64_t consumerRegBudget(const GpuConfig &Config, bool WarpSpecialized,
                            Config.MaxRegsPerThread);
 }
 
-/// Copies a (1, L, D) window of a rank-3 host tensor into an (L, D) matrix.
-TensorData slice2d(const TensorData &T, int64_t Bh, int64_t L, int64_t D) {
-  TensorData W = T.extractWindow({Bh, 0, 0}, {1, L, D});
-  TensorData Out({L, D});
-  for (int64_t I = 0, E = L * D; I != E; ++I)
-    Out.at(I) = W.at(I);
-  return Out;
+/// Returns the (Rows x Cols) matrix starting at row \p Row of slab \p Slab
+/// of a rank-3 host tensor, or at row \p Row of a rank-2 one (\p Slab must
+/// then be 0). That is \p T itself when it is the whole rank-2 tensor, else
+/// a one-pass copy held in \p Storage.
+const TensorData &matrixSlab(const TensorData &T, int64_t Slab, int64_t Row,
+                             int64_t Rows, int64_t Cols,
+                             TensorData &Storage) {
+  if (T.getRank() == 2) {
+    assert(Slab == 0 && "rank-2 tensors have one slab");
+    if (Row == 0 && Rows == T.getDim(0))
+      return T;
+  }
+  Storage = TensorData({Rows, Cols});
+  if (T.getRank() == 3)
+    T.extractWindowInto({Slab, Row, 0}, {1, Rows, Cols}, Storage.data());
+  else
+    T.extractWindowInto({Row, 0}, {Rows, Cols}, Storage.data());
+  return Storage;
 }
 
 /// Rounds a freshly filled host tensor to the kernel input precision.
 void roundHostTensor(TensorData &T, Precision P) {
-  for (int64_t I = 0, E = T.getNumElements(); I != E; ++I)
-    T.at(I) = P == Precision::FP16 ? roundToFp16(T.at(I))
-                                   : roundToFp8E4M3(T.at(I));
+  float *D = T.data();
+  int64_t N = T.getNumElements();
+  if (P == Precision::FP16)
+    for (int64_t I = 0; I < N; ++I)
+      D[I] = roundToFp16(D[I]);
+  else
+    for (int64_t I = 0; I < N; ++I)
+      D[I] = roundToFp8E4M3(D[I]);
+}
+
+/// Returns the maxRelDiff of one kernel output slab \p Out against its
+/// double-precision reference \p Ref. An output stored as f16 is compared
+/// against the reference rounded to f16.
+double slabError(const TensorData &Out, TensorData Ref, bool StoredFp16) {
+  if (StoredFp16)
+    roundHostTensor(Ref, Precision::FP16);
+  return Out.maxRelDiff(Ref);
+}
+
+/// Validates a kernel's output one independent 2-D slab at a time (the
+/// whole output, a batch entry, an expert's rows, an attention head) and
+/// returns the worst \p SlabError(I).
+template <typename SlabFn>
+double worstSlabError(int64_t NumSlabs, SlabFn SlabError) {
+  double Worst = 0;
+  for (int64_t I = 0; I < NumSlabs; ++I)
+    Worst = std::max(Worst, SlabError(I));
+  return Worst;
 }
 
 /// Serializes every compile-time knob that shapes the generated module or
@@ -482,28 +518,18 @@ RunResult Runner::runGemmCustom(const GemmWorkload &W,
       R.Kind = classifyError(R.Error);
       return R;
     }
-    // Validate against the double-precision reference.
-    if (Kernel.SplitK) {
-      // Split-K accumulates raw f32 partial sums into a zero-initialized C
-      // (no f16 store rounding), so compare against the unrounded reference.
-      TensorData Ref = referenceGemm(*A, *B);
-      R.MaxRelError = C->maxRelDiff(Ref);
-    } else if (!Kernel.Batched) {
-      TensorData Ref = referenceGemm(*A, *B);
-      roundHostTensor(Ref, Precision::FP16); // C is stored f16.
-      R.MaxRelError = C->maxRelDiff(Ref);
-    } else {
-      double Worst = 0;
-      for (int64_t Z = 0; Z < W.Batch; ++Z) {
-        TensorData Az = slice2d(*A, Z, TotalM, W.K);
-        TensorData Bz = slice2d(*B, Z, W.N, W.K);
-        TensorData Cz = slice2d(*C, Z, TotalM, W.N);
-        TensorData Ref = referenceGemm(Az, Bz);
-        roundHostTensor(Ref, Precision::FP16);
-        Worst = std::max(Worst, Cz.maxRelDiff(Ref));
-      }
-      R.MaxRelError = Worst;
-    }
+    // Validate against the double-precision reference. Split-K accumulates
+    // raw f32 partial sums into a zero-initialized C (no f16 store
+    // rounding), so it compares against the unrounded reference.
+    R.MaxRelError =
+        worstSlabError(Kernel.Batched ? W.Batch : 1, [&](int64_t Z) {
+          TensorData As, Bs, Cs;
+          return slabError(
+              matrixSlab(*C, Z, 0, TotalM, W.N, Cs),
+              referenceGemm(matrixSlab(*A, Z, 0, TotalM, W.K, As),
+                            matrixSlab(*B, Z, 0, W.N, W.K, Bs)),
+              !Kernel.SplitK);
+        });
   } else {
     // Timing-only: GEMM trip counts are uniform across the grid, so one
     // sampled CTA represents every SM. Routed through the batch sampler
@@ -674,20 +700,17 @@ RunResult Runner::runGemmMoe(const GemmWorkload &W,
       R.Kind = classifyError(R.Error);
       return R;
     }
-    double Worst = 0;
-    for (int64_t Ex = 0; Ex < NumExperts; ++Ex) {
+    R.MaxRelError = worstSlabError(NumExperts, [&](int64_t Ex) {
       if (W.GroupMs[Ex] == 0)
-        continue;
-      TensorData Ae =
-          A->extractWindow({RowStart[Ex], 0}, {W.GroupMs[Ex], W.K});
-      TensorData Be = slice2d(*B, Ex, W.N, W.K);
-      TensorData Ce =
-          C->extractWindow({RowStart[Ex], 0}, {W.GroupMs[Ex], W.N});
-      TensorData Ref = referenceGemm(Ae, Be);
-      roundHostTensor(Ref, Precision::FP16); // C is stored f16.
-      Worst = std::max(Worst, Ce.maxRelDiff(Ref));
-    }
-    R.MaxRelError = Worst;
+        return 0.0; // An empty expert has no rows to check.
+      TensorData As, Bs, Cs;
+      return slabError(
+          matrixSlab(*C, 0, RowStart[Ex], W.GroupMs[Ex], W.N, Cs),
+          referenceGemm(
+              matrixSlab(*A, 0, RowStart[Ex], W.GroupMs[Ex], W.K, As),
+              matrixSlab(*B, Ex, 0, W.N, W.K, Bs)),
+          /*StoredFp16=*/true);
+    });
     for (int64_t I = 0; I < TotalCtas; I += Config.NumSms)
       SampleStorage.push_back(std::move(AllTraces[I]));
   } else {
@@ -843,17 +866,16 @@ RunResult Runner::runAttentionCustom(const AttentionWorkload &W,
       R.Kind = classifyError(R.Error);
       return R;
     }
-    double Worst = 0;
-    for (int64_t Y = 0; Y < BH; ++Y) {
-      TensorData Qy = slice2d(*Q, Y, W.SeqLen, W.HeadDim);
-      TensorData Ky = slice2d(*K, Y, W.SeqLen, W.HeadDim);
-      TensorData Vy = slice2d(*V, Y, W.SeqLen, W.HeadDim);
-      TensorData Oy = slice2d(*O, Y, W.SeqLen, W.HeadDim);
-      TensorData Ref = referenceAttention(Qy, Ky, Vy, W.Causal);
-      roundHostTensor(Ref, Precision::FP16);
-      Worst = std::max(Worst, Oy.maxRelDiff(Ref));
-    }
-    R.MaxRelError = Worst;
+    R.MaxRelError = worstSlabError(BH, [&](int64_t Y) {
+      TensorData Qs, Ks, Vs, Os;
+      return slabError(
+          matrixSlab(*O, Y, 0, W.SeqLen, W.HeadDim, Os),
+          referenceAttention(matrixSlab(*Q, Y, 0, W.SeqLen, W.HeadDim, Qs),
+                             matrixSlab(*K, Y, 0, W.SeqLen, W.HeadDim, Ks),
+                             matrixSlab(*V, Y, 0, W.SeqLen, W.HeadDim, Vs),
+                             W.Causal),
+          /*StoredFp16=*/true);
+    });
   }
 
   // Timing: interpret SM0's CTA list (trip counts vary under causal

@@ -34,6 +34,8 @@
 #include "support/Support.h"
 
 #include <algorithm>
+#include <map>
+#include <set>
 
 using namespace tawa;
 
@@ -160,23 +162,30 @@ bool CoarsePipeliner::classify(ForOp *Loop, StageInfo &Info) {
 
   // Cross-iteration values: anything C/U reads that T/POST or the block
   // arguments produce must be carried one iteration (state args excepted —
-  // they already lag naturally).
+  // they already lag naturally). Keyed by position in the loop body —
+  // block arguments by index, then op results by defining op and result
+  // number — so the rotated loop's carried operands (and the serialized
+  // program) never depend on heap addresses.
   std::set<unsigned> StateSet(Info.StateArgs.begin(), Info.StateArgs.end());
-  std::set<Value *> Cross;
+  std::map<const Operation *, int64_t> OpPos;
+  for (Operation &Op : Body)
+    OpPos.emplace(&Op, static_cast<int64_t>(OpPos.size()));
+  std::map<std::pair<int64_t, unsigned>, Value *> Cross;
   auto Consider = [&](Value *V) {
     if (auto *Arg = dyn_cast<BlockArgument>(V)) {
       if (Arg->getOwner() != &Body)
         return; // Defined outside the loop: shared.
       if (Arg->getArgIndex() > 0 && StateSet.count(Arg->getArgIndex() - 1))
         return; // State args lag naturally.
-      Cross.insert(V);
+      Cross.emplace(std::make_pair(-1, Arg->getArgIndex()), V);
       return;
     }
-    Operation *Def = cast<OpResult>(V)->getOwner();
+    auto *Res = cast<OpResult>(V);
+    Operation *Def = Res->getOwner();
     if (Def->getParentBlock() != &Body)
       return;
     if (TSet.count(Def) || PostSet.count(Def))
-      Cross.insert(V);
+      Cross.emplace(std::make_pair(OpPos.at(Def), Res->getResultIndex()), V);
   };
   for (Operation *Op : Info.COps)
     for (Value *V : Op->getOperands())
@@ -184,7 +193,8 @@ bool CoarsePipeliner::classify(ForOp *Loop, StageInfo &Info) {
   for (Operation *Op : Info.UOps)
     for (Value *V : Op->getOperands())
       Consider(V);
-  Info.CrossVals.assign(Cross.begin(), Cross.end());
+  for (const auto &KV : Cross)
+    Info.CrossVals.push_back(KV.second);
   return true;
 }
 

@@ -6,6 +6,7 @@
 #include "support/Support.h"
 
 #include <cinttypes>
+#include <cmath>
 #include <limits>
 
 using namespace tawa;
@@ -303,7 +304,11 @@ void dblField(std::string &Out, const char *Key, double V, int Decimals,
   if (!First)
     Out += ',';
   First = false;
-  Out += formatString("\"%s\":%.*f", Key, Decimals, V);
+  // %f would print inf / nan, which is not JSON: null, as JsonWriter does.
+  if (!std::isfinite(V))
+    Out += formatString("\"%s\":null", Key);
+  else
+    Out += formatString("\"%s\":%.*f", Key, Decimals, V);
 }
 
 } // namespace

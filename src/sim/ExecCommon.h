@@ -230,14 +230,16 @@ inline TensorRef applyBinary(const TensorRef &A, const TensorRef &B,
 
 /// Rounds every element to the storage precision of \p ElemTy.
 inline void roundTensorTo(TensorData &T, Type *ElemTy) {
+  float *D = T.data();
+  int64_t N = T.getNumElements();
   switch (ElemTy->getKind()) {
   case TypeKind::F16:
-    for (int64_t I = 0, E = T.getNumElements(); I != E; ++I)
-      T.at(I) = roundToFp16(T.at(I));
+    for (int64_t I = 0; I < N; ++I)
+      D[I] = roundToFp16(D[I]);
     break;
   case TypeKind::F8E4M3:
-    for (int64_t I = 0, E = T.getNumElements(); I != E; ++I)
-      T.at(I) = roundToFp8E4M3(T.at(I));
+    for (int64_t I = 0; I < N; ++I)
+      D[I] = roundToFp8E4M3(D[I]);
     break;
   default:
     break; // f32/int: representable as-is.

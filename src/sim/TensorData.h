@@ -229,11 +229,14 @@ using TensorRef = std::shared_ptr<TensorData>;
 
 /// Reference (double-precision) GEMM: C = A(MxK) * B(NxK)^T, for validating
 /// compiled kernels. Inputs are the same f32 buffers the kernel reads.
+/// Bit-identical to the naive loop: each element sums its double products
+/// from +0.0 in ascending k, then casts to float once.
 TensorData referenceGemm(const TensorData &A, const TensorData &B);
 
 /// Reference multi-head attention for one (batch*head): O = softmax(Q K^T /
 /// sqrt(d)) V with optional causal masking, computed in double precision.
-/// Q/K/V are (L x D).
+/// Q is (L x D), K and V are (LK x D). Bit-identical to the naive loops for
+/// finite inputs (as referenceGemm).
 TensorData referenceAttention(const TensorData &Q, const TensorData &K,
                               const TensorData &V, bool Causal);
 

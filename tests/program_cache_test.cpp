@@ -18,6 +18,7 @@
 #include "passes/Passes.h"
 #include "sim/Bytecode.h"
 #include "sim/Interpreter.h"
+#include "sim/Peephole.h"
 #include "support/Env.h"
 #include "support/ProgramCache.h"
 #include "support/Support.h"
@@ -425,6 +426,53 @@ TEST(ProgramCacheKeys, FusedAndUnfusedNeverCollide) {
   ASSERT_TRUE(Unfused.runGemm(Framework::Tawa, W).ok());
   EXPECT_EQ(Fused.cacheStats().Hits, 1u);
   EXPECT_EQ(Unfused.cacheStats().Hits, 1u);
+}
+
+TEST(ProgramCacheKeys, CoarsePipelinedCompileIsByteDeterministic) {
+  // The coarse-grained pipeline pass orders its loop-carried values by
+  // position in the loop body, not by heap address: recompiling one key
+  // (with unrelated allocations shifting the heap in between) serializes
+  // to the same bytes every time.
+  CacheGuard Guard;
+  AttentionWorkload W;
+  W.SeqLen = 128;
+  W.Batch = 1;
+  W.Heads = 2;
+  W.HeadDim = 64;
+  W.Causal = true;
+  FrameworkEnvelope E = getAttentionEnvelope(Framework::Tawa, W);
+  ASSERT_TRUE(E.Options.CoarsePipeline);
+
+  Runner R;
+  std::string Key = R.compileKey(W, E);
+  ASSERT_FALSE(Key.empty());
+  auto &C = ProgramCache::shared();
+  auto CompileAndSerialize = [&] {
+    std::string Err;
+    EXPECT_TRUE(R.prewarm(W, E, Err)) << Err;
+    ProgramCache::EntryRef Entry = C.getOrCompile(
+        Key, R.getConfig(), /*NeedModule=*/false, /*NeedProgram=*/true,
+        bc::fusionEnabled(R.FuseBytecode),
+        [](std::string &CErr) -> ProgramCache::EntryRef {
+          CErr = "prewarmed entry missing";
+          return nullptr;
+        },
+        Err);
+    EXPECT_TRUE(Entry && Entry->Prog) << Err;
+    return Entry && Entry->Prog ? bc::serializeProgram(*Entry->Prog)
+                                : std::string();
+  };
+
+  std::string First = CompileAndSerialize();
+  ASSERT_FALSE(First.empty());
+  for (int Round = 1; Round <= 4; ++Round) {
+    C.clear();
+    std::vector<std::unique_ptr<char[]>> Shift;
+    for (int I = 0; I < 97 * Round; ++I)
+      Shift.emplace_back(new char[24 + 8 * (I % 13)]);
+    EXPECT_EQ(CompileAndSerialize(), First) << "recompile " << Round;
+  }
+  EXPECT_EQ(R.cacheStats().Misses, 5u);
 }
 
 TEST(ProgramCacheDisk, LegacyEngineBypassesDiskEntries) {

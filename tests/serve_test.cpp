@@ -35,6 +35,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -184,6 +185,28 @@ TEST(ServeProtocol, ResponseRenderIsSingleLine) {
   EXPECT_EQ(respField(Line, "status"), "failed");
   EXPECT_EQ(respField(Line, "id"), "r\n1");
   EXPECT_EQ(respField(Line, "attempts"), "2");
+}
+
+TEST(ServeProtocol, NonFiniteNumbersRenderAsNull) {
+  // A NaN-poisoned kernel reports MaxRelError = +inf; %f would print "inf"
+  // (or "nan"), which no JSON reader accepts.
+  for (double Bad : {std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()}) {
+    ServeResponse Resp;
+    Resp.Id = "nf";
+    Resp.HasRun = true;
+    Resp.Micros = 12.5;
+    Resp.MaxRelError = Bad;
+    std::string Line = Resp.render();
+    JsonValue V;
+    std::string Err;
+    ASSERT_TRUE(parseJson(Line, V, Err)) << Err << "\n" << Line;
+    ASSERT_NE(V.find("max_rel_error"), nullptr) << Line;
+    EXPECT_TRUE(V.find("max_rel_error")->isNull()) << Line;
+    ASSERT_NE(V.find("micros"), nullptr) << Line;
+    EXPECT_EQ(V.find("micros")->asDouble(), 12.5);
+  }
 }
 
 //===----------------------------------------------------------------------===//
