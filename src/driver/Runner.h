@@ -14,7 +14,6 @@
 #include "support/ProgramCache.h"
 #include "support/Status.h"
 
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -22,6 +21,8 @@ namespace tawa {
 namespace sim {
 struct ExecDiagnostic;
 } // namespace sim
+
+struct LaunchPlan; ///< One kernel family's launch plan (Runner.cpp).
 
 struct RunResult {
   std::string Error;       ///< Non-empty on compile/simulate failure.
@@ -148,17 +149,19 @@ public:
 private:
   RunResult runGemmAnalytic(const GemmWorkload &W,
                             const FrameworkEnvelope &E);
-  /// The grouped/MoE execute path (W.MoE with non-empty GroupMs): builds
-  /// the data-dependent ragged CTA list, the (E, 2) group-offset table and
-  /// the concatenated A/C slabs, dispatches through runCtaBatch, and
-  /// validates each expert's slab independently.
-  RunResult runGemmMoe(const GemmWorkload &W, const FrameworkEnvelope &E,
-                       bool Functional);
   RunResult runAttentionAnalytic(const AttentionWorkload &W,
                                  const FrameworkEnvelope &E);
 
-  /// Cache lookup / compile-and-insert against the process-wide
-  /// support/ProgramCache. \p Build constructs the kernel module in a
+  /// The one execute path of every compiled point: envelope and option
+  /// checks, compile, register feasibility, the plan's launch set-up, the
+  /// functional pass and its validation, SM0's timing samples, the SMEM
+  /// check, and the replay of SM0's schedule. \p P, one kernel family's
+  /// plan (Runner.cpp), supplies only what differs between families.
+  RunResult execute(LaunchPlan &P, const FrameworkEnvelope &E,
+                    bool Functional);
+
+  /// Cache lookup / compile-and-insert of \p P's kernel against the
+  /// process-wide support/ProgramCache: the plan builds the module in a
   /// fresh context; the pass pipeline, optional software pipelining and
   /// bytecode flattening are shared between kernel families. The key
   /// covers every compile-time knob — (kernel, tile shape, precision,
@@ -168,12 +171,7 @@ private:
   /// legacy-interpreter mode flattening is skipped until a bytecode run
   /// first needs it, and the disk layer is bypassed (the legacy engine
   /// walks IR, which disk entries do not carry).
-  ProgramCache::EntryRef
-  getOrCompile(const std::string &Key,
-               const std::function<std::unique_ptr<Module>(IrContext &)>
-                   &Build,
-               const TawaOptions &Options, int64_t SwPipelineDepth,
-               std::string &Err);
+  ProgramCache::EntryRef getOrCompile(const LaunchPlan &P, std::string &Err);
 
   sim::GpuConfig Config;
   size_t CacheHits = 0, CacheMisses = 0;

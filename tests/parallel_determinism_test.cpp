@@ -199,7 +199,9 @@ TEST(ParallelDeterminism, AttentionGridWorkerCountInvariant) {
 //===----------------------------------------------------------------------===//
 
 /// Producer/consumer mbarrier ring whose consumer never releases: every CTA
-/// deadlocks with the same diagnostic.
+/// deadlocks with the same diagnostic. Each CTA stores its tiles into its
+/// own 16-row band of the output, so CTAs run in parallel never write the
+/// same element.
 std::unique_ptr<Module> buildDeadlockRing(IrContext &Ctx) {
   int64_t Depth = 2, Iters = 6;
   auto M = std::make_unique<Module>(Ctx);
@@ -232,6 +234,7 @@ std::unique_ptr<Module> buildDeadlockRing(IrContext &Ctx) {
   Value *Two = B.createConstantInt(2);
   Value *DepthC = B.createConstantInt(Depth);
   Value *N = B.createConstantInt(Iters);
+  Value *Band = B.createMul(B.createProgramId(0), B.createConstantInt(16));
 
   WarpGroupOp *WG0 = B.createWarpGroup(0, "producer");
   {
@@ -264,7 +267,7 @@ std::unique_ptr<Module> buildDeadlockRing(IrContext &Ctx) {
     Value *Parity = L.createRem(Wrap, Two);
     L.createMBarrierWait(Full, Slot, Parity);
     Value *Tile = L.createSmemRead(Smem, Slot, TileTy, 0);
-    L.createTmaStore(OutDesc, {Slot, Slot}, Tile);
+    L.createTmaStore(OutDesc, {Band, Slot}, Tile);
     // Missing MBarrierArrive(Empty): the ring wedges on every CTA.
     L.createYield({});
   }
