@@ -43,7 +43,8 @@ struct ServeRequest {
   bool Functional = false;
 
   // kind = ir: a textual module carrying fuzz.grid / fuzz.args (and
-  // optionally fuzz.faults) launch attributes — the fuzz-corpus format.
+  // optionally fuzz.faults) launch attributes — the fuzz-corpus format,
+  // decoded by sim/Launch.h.
   std::string IrText;
 
   /// Per-request deadline in wall milliseconds, 0 = server default. Covers

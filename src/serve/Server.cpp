@@ -515,16 +515,15 @@ std::string Service::executeOnce(const std::string &RawText,
                                  const ServeRequest &Req, int Level,
                                  int64_t RemainingMs, ServeResponse &Resp,
                                  ErrorKind &KindOut) {
-  // Out-of-process routing: either the request opted in (sandbox=true) or
-  // the ladder escalated its compile key to the last rung.
-  if (Req.Sandbox || Level >= 3)
-    return executeSandbox(RawText, RemainingMs, Resp, KindOut);
-
   ExecEnv Env;
   Env.Level = Level;
   Env.RemainingMs = RemainingMs;
   Env.DefaultMaxSteps = Cfg.DefaultMaxSteps;
   Env.ExecWorkers = Cfg.ExecWorkers;
+  // Out-of-process routing: either the request opted in (sandbox=true) or
+  // the ladder escalated its compile key to the last rung.
+  if (Req.Sandbox || Level >= 3)
+    return executeSandbox(RawText, Env, Resp, KindOut);
   return serve::executeRequest(Req, Env, Resp, KindOut);
 }
 
@@ -543,7 +542,7 @@ Supervisor &Service::supervisor() {
 }
 
 std::string Service::executeSandbox(const std::string &RawText,
-                                    int64_t RemainingMs, ServeResponse &Resp,
+                                    const ExecEnv &Env, ServeResponse &Resp,
                                     ErrorKind &KindOut) {
   // Even a failed attempt reports where it ran.
   Resp.Degrade = "sandbox";
@@ -553,7 +552,7 @@ std::string Service::executeSandbox(const std::string &RawText,
   }
 
   std::string RespLine;
-  std::string Err = supervisor().execute(RawText, RemainingMs, RespLine);
+  std::string Err = supervisor().execute(RawText, Env, RespLine);
   if (!Err.empty()) {
     KindOut = classifyError(Err);
     std::lock_guard<std::mutex> L(StatsMu);

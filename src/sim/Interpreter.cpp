@@ -42,16 +42,6 @@ int64_t tawa::sim::resolveNumWorkers(int64_t Requested) {
 Interpreter::Interpreter(Module &M, const GpuConfig &Config)
     : M(&M), Config(Config) {}
 
-Interpreter::Interpreter(Module &M, const GpuConfig &Config,
-                         std::shared_ptr<const bc::CompiledProgram> Prog)
-    : M(&M), Config(Config), Prog(std::move(Prog)) {}
-
-Interpreter::Interpreter(const GpuConfig &Config,
-                         std::shared_ptr<const bc::CompiledProgram> Prog)
-    : M(nullptr), Config(Config), Prog(std::move(Prog)) {
-  assert(this->Prog && "module-less Interpreter needs a compiled program");
-}
-
 Interpreter::Interpreter(Module *M, const GpuConfig &Config,
                          std::shared_ptr<const bc::CompiledProgram> Prog)
     : M(M), Config(Config), Prog(std::move(Prog)) {

@@ -154,20 +154,11 @@ public:
   Interpreter(Module &M, const GpuConfig &Config);
 
   /// Reuses an already-compiled program (the program cache) so repeated
-  /// sweeps skip flattening entirely. \p M must be the module \p Prog was
-  /// compiled from.
-  Interpreter(Module &M, const GpuConfig &Config,
-              std::shared_ptr<const bc::CompiledProgram> Prog);
-
-  /// Module-less execution of an already-compiled (possibly disk-loaded)
-  /// program: a CompiledProgram is self-contained, so no IR is needed.
-  /// RunOptions::UseLegacyInterp is not available on such an Interpreter
-  /// (the legacy oracle walks the IR).
-  Interpreter(const GpuConfig &Config,
-              std::shared_ptr<const bc::CompiledProgram> Prog);
-
-  /// Generalized form (the Runner's program-cache path): \p M may be null
-  /// when \p Prog is set — e.g. a disk-loaded cache entry.
+  /// sweeps skip flattening entirely. When both are set, \p M must be the
+  /// module \p Prog was compiled from. \p M may be null when \p Prog is
+  /// set (e.g. a disk-loaded cache entry): a CompiledProgram is
+  /// self-contained, so no IR is needed, but RunOptions::UseLegacyInterp
+  /// is then unavailable (the legacy oracle walks the IR).
   Interpreter(Module *M, const GpuConfig &Config,
               std::shared_ptr<const bc::CompiledProgram> Prog);
 

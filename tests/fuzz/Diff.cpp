@@ -57,8 +57,6 @@ std::string runCombo(const PreparedCase &P, int I, bool Corrupt,
   GpuConfig Cfg;
 
   RunOptions Opts;
-  Opts.GridX = P.Launch.GridX;
-  Opts.GridY = P.Launch.GridY;
   Opts.Functional = true;
   Opts.UseLegacyInterp = C.Legacy;
   Opts.FuseBytecode = C.Fuse;
@@ -68,18 +66,7 @@ std::string runCombo(const PreparedCase &P, int I, bool Corrupt,
   Opts.MaxSteps = 1000000;
   ExecDiagnostic Diag;
   Opts.Diag = &Diag;
-
-  std::vector<TensorRef> OutputTensors;
-  for (const LaunchSpec::Arg &A : P.Launch.Args) {
-    if (A.IsScalar) {
-      Opts.Args.push_back(RuntimeArg::scalar(A.Scalar));
-      continue;
-    }
-    TensorRef T = materializeArg(A);
-    if (A.FillSeed == 0 && A.Data.empty())
-      OutputTensors.push_back(T);
-    Opts.Args.push_back(RuntimeArg::tensor(T));
-  }
+  std::vector<TensorRef> OutputTensors = bindLaunchArgs(P.Launch, Opts);
 
   if (!P.Launch.FaultSpec.empty()) {
     std::string FErr;

@@ -9,7 +9,6 @@
 #include "support/Support.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 using namespace tawa;
 using namespace tawa::fuzz;
@@ -292,20 +291,6 @@ std::unique_ptr<Module> buildProtocolRing(IrContext &Ctx, int64_t Depth,
   return M;
 }
 
-LaunchSpec::Arg tensorArg(std::vector<int64_t> Shape, uint64_t FillSeed) {
-  LaunchSpec::Arg A;
-  A.Shape = std::move(Shape);
-  A.FillSeed = FillSeed;
-  return A;
-}
-
-LaunchSpec::Arg scalarArg(int64_t V) {
-  LaunchSpec::Arg A;
-  A.IsScalar = true;
-  A.Scalar = V;
-  return A;
-}
-
 std::string faultSpecFor(const FuzzCase &C) {
   if (!C.Faults)
     return "";
@@ -318,6 +303,7 @@ std::string faultSpecFor(const FuzzCase &C) {
 std::string tawa::fuzz::prepareCase(const FuzzCase &C, PreparedCase &Out) {
   Out.Ctx = std::make_unique<IrContext>();
   IrContext &Ctx = *Out.Ctx;
+  using Arg = LaunchSpec::Arg;
   LaunchSpec L;
   L.FaultSpec = faultSpecFor(C);
   std::unique_ptr<Module> M;
@@ -348,9 +334,9 @@ std::string tawa::fuzz::prepareCase(const FuzzCase &C, PreparedCase &Out) {
       BShape.insert(BShape.begin(), C.Batch);
       CShape.insert(CShape.begin(), C.Batch);
     }
-    L.Args = {tensorArg(AShape, 1), tensorArg(BShape, 2),
-              tensorArg(CShape, 0), scalarArg(C.M), scalarArg(C.N),
-              scalarArg(C.K)};
+    L.Args = {Arg::tensor(AShape, 1), Arg::tensor(BShape, 2),
+              Arg::tensor(CShape, 0), Arg::scalar(C.M), Arg::scalar(C.N),
+              Arg::scalar(C.K)};
     break;
   }
   case Family::Attention: {
@@ -364,9 +350,9 @@ std::string tawa::fuzz::prepareCase(const FuzzCase &C, PreparedCase &Out) {
     L.GridX = QTiles;
     L.GridY = BH;
     std::vector<int64_t> Shape = {BH, C.SeqLen, C.Mha.HeadDim};
-    L.Args = {tensorArg(Shape, 11), tensorArg(Shape, 12),
-              tensorArg(Shape, 13), tensorArg(Shape, 0),
-              scalarArg(C.SeqLen)};
+    L.Args = {Arg::tensor(Shape, 11), Arg::tensor(Shape, 12),
+              Arg::tensor(Shape, 13), Arg::tensor(Shape, 0),
+              Arg::scalar(C.SeqLen)};
     break;
   }
   case Family::ProtocolRing: {
@@ -375,7 +361,7 @@ std::string tawa::fuzz::prepareCase(const FuzzCase &C, PreparedCase &Out) {
       return "verify: " + Err;
     L.GridX = 1;
     L.GridY = 1;
-    L.Args = {tensorArg({64, 64}, 3), tensorArg({64, 64}, 0)};
+    L.Args = {Arg::tensor({64, 64}, 3), Arg::tensor({64, 64}, 0)};
     break;
   }
   case Family::SplitK: {
@@ -392,9 +378,9 @@ std::string tawa::fuzz::prepareCase(const FuzzCase &C, PreparedCase &Out) {
     // f32 partials, so it is a zero-filled output like the plain family's.
     L.GridX = ceilDiv(C.M, C.Gemm.TileM) * ceilDiv(C.N, C.Gemm.TileN);
     L.GridY = C.SplitKFactor;
-    L.Args = {tensorArg({C.M, C.K}, 1), tensorArg({C.N, C.K}, 2),
-              tensorArg({C.M, C.N}, 0), scalarArg(C.M), scalarArg(C.N),
-              scalarArg(C.K)};
+    L.Args = {Arg::tensor({C.M, C.K}, 1), Arg::tensor({C.N, C.K}, 2),
+              Arg::tensor({C.M, C.N}, 0), Arg::scalar(C.M), Arg::scalar(C.N),
+              Arg::scalar(C.K)};
     break;
   }
   case Family::Grouped: {
@@ -416,7 +402,7 @@ std::string tawa::fuzz::prepareCase(const FuzzCase &C, PreparedCase &Out) {
     int64_t Experts = static_cast<int64_t>(C.GroupMs.size());
     int64_t MaxCtas = 1;
     int64_t SumM = 0;
-    LaunchSpec::Arg Table;
+    Arg Table;
     Table.Shape = {Experts, 2};
     for (int64_t Ex = 0; Ex < Experts; ++Ex) {
       Table.Data.push_back(SumM);
@@ -429,10 +415,10 @@ std::string tawa::fuzz::prepareCase(const FuzzCase &C, PreparedCase &Out) {
       return "grouped case with no rows"; // Generator/shrinker invariant.
     L.GridX = MaxCtas;
     L.GridY = Experts;
-    L.Args = {tensorArg({SumM, C.K}, 1),
-              tensorArg({Experts, C.N, C.K}, 2),
-              tensorArg({SumM, C.N}, 0), std::move(Table), scalarArg(C.N),
-              scalarArg(C.K)};
+    L.Args = {Arg::tensor({SumM, C.K}, 1),
+              Arg::tensor({Experts, C.N, C.K}, 2),
+              Arg::tensor({SumM, C.N}, 0), std::move(Table), Arg::scalar(C.N),
+              Arg::scalar(C.K)};
     break;
   }
   }
@@ -443,157 +429,6 @@ std::string tawa::fuzz::prepareCase(const FuzzCase &C, PreparedCase &Out) {
   Out.Mod = std::move(M);
   Out.Launch = std::move(L);
   return "";
-}
-
-//===----------------------------------------------------------------------===//
-// Launch-spec encoding (module attributes)
-//===----------------------------------------------------------------------===//
-
-void tawa::fuzz::encodeLaunchSpec(Module &M, const LaunchSpec &L) {
-  M.setAttr("fuzz.grid", std::vector<int64_t>{L.GridX, L.GridY});
-  std::string Args;
-  for (const LaunchSpec::Arg &A : L.Args) {
-    if (!Args.empty())
-      Args += ";";
-    if (A.IsScalar) {
-      Args += "s" + std::to_string(A.Scalar);
-    } else if (!A.Data.empty()) {
-      // Explicit payload (group-offset tables): dSHAPE:v0,v1,...
-      Args += "d";
-      for (size_t I = 0; I < A.Shape.size(); ++I) {
-        if (I)
-          Args += "x";
-        Args += std::to_string(A.Shape[I]);
-      }
-      Args += ":";
-      for (size_t I = 0; I < A.Data.size(); ++I) {
-        if (I)
-          Args += ",";
-        Args += std::to_string(A.Data[I]);
-      }
-    } else {
-      Args += "t" + std::to_string(A.FillSeed) + ":";
-      for (size_t I = 0; I < A.Shape.size(); ++I) {
-        if (I)
-          Args += "x";
-        Args += std::to_string(A.Shape[I]);
-      }
-    }
-  }
-  M.setAttr("fuzz.args", Args);
-  if (!L.FaultSpec.empty())
-    M.setAttr("fuzz.faults", L.FaultSpec);
-  else
-    M.removeAttr("fuzz.faults");
-}
-
-std::string tawa::fuzz::decodeLaunchSpec(const Module &M, LaunchSpec &L) {
-  const auto &Attrs = M.getAttrs();
-  auto GridIt = Attrs.find("fuzz.grid");
-  if (GridIt == Attrs.end())
-    return "missing fuzz.grid module attribute";
-  const auto *Grid = std::get_if<std::vector<int64_t>>(&GridIt->second);
-  if (!Grid || Grid->size() != 2)
-    return "fuzz.grid must be [gridX, gridY]";
-  L.GridX = (*Grid)[0];
-  L.GridY = (*Grid)[1];
-
-  auto ArgsIt = Attrs.find("fuzz.args");
-  if (ArgsIt == Attrs.end())
-    return "missing fuzz.args module attribute";
-  const auto *Spec = std::get_if<std::string>(&ArgsIt->second);
-  if (!Spec)
-    return "fuzz.args must be a string";
-  L.Args.clear();
-  size_t Pos = 0;
-  while (Pos < Spec->size()) {
-    size_t End = Spec->find(';', Pos);
-    if (End == std::string::npos)
-      End = Spec->size();
-    std::string Tok = Spec->substr(Pos, End - Pos);
-    Pos = End + 1;
-    if (Tok.empty())
-      return "empty fuzz.args entry";
-    if (Tok[0] == 's') {
-      L.Args.push_back(scalarArg(std::strtoll(Tok.c_str() + 1, nullptr, 10)));
-    } else if (Tok[0] == 't') {
-      size_t Colon = Tok.find(':');
-      if (Colon == std::string::npos)
-        return "malformed tensor entry in fuzz.args: " + Tok;
-      uint64_t Seed = std::strtoull(Tok.substr(1, Colon - 1).c_str(),
-                                    nullptr, 10);
-      std::vector<int64_t> Shape;
-      size_t P = Colon + 1;
-      while (P < Tok.size()) {
-        size_t X = Tok.find('x', P);
-        if (X == std::string::npos)
-          X = Tok.size();
-        Shape.push_back(std::strtoll(Tok.substr(P, X - P).c_str(), nullptr,
-                                     10));
-        P = X + 1;
-      }
-      if (Shape.empty())
-        return "tensor entry with no shape in fuzz.args: " + Tok;
-      L.Args.push_back(tensorArg(std::move(Shape), Seed));
-    } else if (Tok[0] == 'd') {
-      size_t Colon = Tok.find(':');
-      if (Colon == std::string::npos)
-        return "malformed data entry in fuzz.args: " + Tok;
-      LaunchSpec::Arg A;
-      size_t P = 1;
-      while (P < Colon) {
-        size_t X = Tok.find('x', P);
-        if (X == std::string::npos || X > Colon)
-          X = Colon;
-        A.Shape.push_back(std::strtoll(Tok.substr(P, X - P).c_str(),
-                                       nullptr, 10));
-        P = X + 1;
-      }
-      P = Colon + 1;
-      while (P < Tok.size()) {
-        size_t Comma = Tok.find(',', P);
-        if (Comma == std::string::npos)
-          Comma = Tok.size();
-        A.Data.push_back(std::strtoll(Tok.substr(P, Comma - P).c_str(),
-                                      nullptr, 10));
-        P = Comma + 1;
-      }
-      if (A.Shape.empty() || A.Data.empty())
-        return "data entry with no shape or values in fuzz.args: " + Tok;
-      int64_t Elems = 1;
-      for (int64_t S : A.Shape)
-        Elems *= S;
-      if (Elems != static_cast<int64_t>(A.Data.size()))
-        return "data entry shape/value count mismatch in fuzz.args: " + Tok;
-      L.Args.push_back(std::move(A));
-    } else {
-      return "unknown fuzz.args entry kind: " + Tok;
-    }
-  }
-
-  auto FaultsIt = Attrs.find("fuzz.faults");
-  if (FaultsIt != Attrs.end()) {
-    const auto *F = std::get_if<std::string>(&FaultsIt->second);
-    if (!F)
-      return "fuzz.faults must be a string";
-    L.FaultSpec = *F;
-  } else {
-    L.FaultSpec = "";
-  }
-  return "";
-}
-
-sim::TensorRef tawa::fuzz::materializeArg(const LaunchSpec::Arg &A) {
-  auto T = std::make_shared<sim::TensorData>(A.Shape);
-  if (!A.Data.empty()) {
-    int64_t E = std::min<int64_t>(T->getNumElements(),
-                                  static_cast<int64_t>(A.Data.size()));
-    for (int64_t I = 0; I < E; ++I)
-      T->at(I) = static_cast<float>(A.Data[I]);
-  } else if (A.FillSeed != 0) {
-    T->fillRandom(A.FillSeed, 1.0f);
-  }
-  return T;
 }
 
 std::string tawa::fuzz::loadCase(const std::string &Text, PreparedCase &Out) {

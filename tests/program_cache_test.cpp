@@ -151,9 +151,9 @@ TEST(Serializer, RoundTripExecutesIdentically) {
   RunOptions Launch = gemmTimingLaunch();
   GpuConfig Cfg;
   CtaTrace A, B;
-  Interpreter Orig(*M, Cfg, Prog);
+  Interpreter Orig(M.get(), Cfg, Prog);
   ASSERT_EQ(Orig.runCta(Launch, 3, 0, A), "");
-  Interpreter FromDisk(Cfg, Loaded);
+  Interpreter FromDisk(nullptr, Cfg, Loaded);
   ASSERT_EQ(FromDisk.runCta(Launch, 3, 0, B), "");
   expectTracesIdentical(A, B);
 

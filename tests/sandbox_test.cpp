@@ -10,6 +10,7 @@
 //  * the flight-recorder ring bound and crash-dump layout; dumped `ir`
 //    requests round-trip through ir/Parser and replay through the fuzz
 //    differ (the in-test equivalent of `tawa-fuzz --replay`),
+//  * a sandboxed request runs under the Service's own step budget,
 //  * chaos drills through the real tawa-sandbox binary: SIGKILL
 //    mid-request, hang (heartbeat loss), deadline exhaustion, and spawn
 //    failure all yield structured responses with the sandbox ErrorKinds
@@ -394,6 +395,21 @@ TEST(SandboxService, SandboxPingRoundTrips) {
   EXPECT_EQ(respField(L, "degrade"), "sandbox") << L;
   EXPECT_EQ(Svc.stats().SandboxRequests, 1);
   EXPECT_EQ(Svc.stats().SandboxSpawns, 1);
+  Svc.shutdown();
+}
+
+TEST(SandboxService, SandboxedRequestRunsUnderServiceBudgets) {
+  // The child takes the step budget from the parent's ServeConfig (via the
+  // request frame), not from its own environment: both routes trip it.
+  ServeConfig C = chaosConfig("");
+  C.DefaultMaxSteps = 3;
+  Service Svc(C);
+  std::string Local = Svc.call(gemmReq("local"));
+  std::string Boxed = Svc.call(gemmReq("boxed", /*Sandbox=*/true));
+  EXPECT_EQ(respField(Local, "error_kind"), "step-budget") << Local;
+  EXPECT_EQ(respField(Boxed, "error_kind"), "step-budget") << Boxed;
+  EXPECT_EQ(respField(Boxed, "error"), respField(Local, "error"));
+  EXPECT_EQ(respField(Boxed, "degrade"), "sandbox") << Boxed;
   Svc.shutdown();
 }
 

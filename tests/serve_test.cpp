@@ -232,6 +232,45 @@ TEST(ServeService, PingAndBadRequestsAreStructured) {
   Svc.shutdown();
 }
 
+/// \p Text with its first \p From replaced by \p To.
+std::string replaced(std::string Text, const std::string &From,
+                     const std::string &To) {
+  size_t Pos = Text.find(From);
+  EXPECT_NE(Pos, std::string::npos) << From;
+  return Pos == std::string::npos ? Text : Text.replace(Pos, From.size(), To);
+}
+
+TEST(ServeService, MalformedIrLaunchFailsStructuredNotAborts) {
+  ServeConfig C;
+  C.Workers = 1;
+  Service Svc(C);
+  const std::string Corpus = readFile(corpusPath("gemm_ws.tawa"));
+  struct Bad {
+    std::string Ir;
+    const char *Error;
+  };
+  // Each of these used to abort the whole daemon (std::length_error or
+  // the ShapeVec rank check) while binding the launch.
+  const Bad Cases[] = {
+      {replaced(Corpus, "t0:128x128;", "t0:-128x128;"),
+       "ir launch: negative tensor dimension in fuzz.args: t0:-128x128"},
+      {replaced(Corpus, "t0:128x128;", "t0:1x1x1x128x128;"),
+       "ir launch: tensor rank exceeds 4 in fuzz.args: t0:1x1x1x128x128"},
+      {replaced(Corpus, "fuzz.grid = [4, 1]", "fuzz.grid = [-4, 1]"),
+       "ir launch: fuzz.grid dimensions must be non-negative"},
+  };
+  for (const Bad &B : Cases) {
+    SCOPED_TRACE(B.Error);
+    std::string L = Svc.call(irReq("bad", B.Ir));
+    EXPECT_EQ(respField(L, "status"), "failed") << L;
+    EXPECT_EQ(respField(L, "error_kind"), "compile-error") << L;
+    EXPECT_EQ(respField(L, "error"), B.Error) << L;
+  }
+  std::string Ok = Svc.call(irReq("good", Corpus));
+  EXPECT_EQ(respField(Ok, "status"), "ok") << Ok;
+  Svc.shutdown();
+}
+
 TEST(ServeService, DeterministicOverloadSequence) {
   // One executor, queue depth 2, execution gated: the accept/reject
   // sequence is fully pinned. A executes (in flight), B and C queue,
@@ -650,26 +689,13 @@ ServeResponse directIrResponse(const std::string &Id,
 
   sim::GpuConfig Cfg;
   sim::RunOptions Opts;
-  Opts.GridX = P.Launch.GridX;
-  Opts.GridY = P.Launch.GridY;
   Opts.Functional = true;
   Opts.FuseBytecode = true;
   Opts.NumWorkers = NumWorkers;
   Opts.MaxSteps = 1000000;
   sim::ExecDiagnostic Diag;
   Opts.Diag = &Diag;
-
-  std::vector<sim::TensorRef> Outputs;
-  for (const fuzz::LaunchSpec::Arg &A : P.Launch.Args) {
-    if (A.IsScalar) {
-      Opts.Args.push_back(sim::RuntimeArg::scalar(A.Scalar));
-      continue;
-    }
-    sim::TensorRef T = fuzz::materializeArg(A);
-    if (A.FillSeed == 0 && A.Data.empty())
-      Outputs.push_back(T);
-    Opts.Args.push_back(sim::RuntimeArg::tensor(T));
-  }
+  std::vector<sim::TensorRef> Outputs = sim::bindLaunchArgs(P.Launch, Opts);
   if (!P.Launch.FaultSpec.empty())
     EXPECT_TRUE(faults::configure(P.Launch.FaultSpec));
   sim::Interpreter Interp(*P.Mod, Cfg);

@@ -69,8 +69,6 @@ struct ComboOut {
 ComboOut runCombo(const fuzz::PreparedCase &P, Engine E, int64_t Workers) {
   GpuConfig Cfg;
   RunOptions Opts;
-  Opts.GridX = P.Launch.GridX;
-  Opts.GridY = P.Launch.GridY;
   Opts.Functional = true;
   Opts.UseLegacyInterp = E == Engine::Legacy;
   Opts.FuseBytecode = E == Engine::Fused;
@@ -78,18 +76,7 @@ ComboOut runCombo(const fuzz::PreparedCase &P, Engine E, int64_t Workers) {
   Opts.MaxSteps = 1000000;
   ExecDiagnostic Diag;
   Opts.Diag = &Diag;
-
-  std::vector<TensorRef> Outs;
-  for (const fuzz::LaunchSpec::Arg &A : P.Launch.Args) {
-    if (A.IsScalar) {
-      Opts.Args.push_back(RuntimeArg::scalar(A.Scalar));
-      continue;
-    }
-    TensorRef T = fuzz::materializeArg(A);
-    if (A.FillSeed == 0 && A.Data.empty())
-      Outs.push_back(T);
-    Opts.Args.push_back(RuntimeArg::tensor(T));
-  }
+  std::vector<TensorRef> Outs = bindLaunchArgs(P.Launch, Opts);
 
   ComboOut R;
   R.Label = formatString("%s/w%lld", engineName(E),

@@ -5,15 +5,19 @@
 // a three-line-type protocol:
 //
 //   child -> parent   ready\n                 once, at startup
-//   parent -> child   req <ms> <spec|-> <tawa-serve-req-v1 json>\n
+//   parent -> child   req <ms> <steps> <workers> <spec|-> <req-v1 json>\n
 //   child -> parent   hb\n                    while a request executes
 //   child -> parent   <tawa-serve-resp-v1 json>\n   exactly one per req
 //
-// <spec> forwards the parent's armed fault-injection spec ("-" = none),
-// so deterministic fault drills cross the process boundary: sandbox.kill
-// raises SIGKILL mid-request, sandbox.hang freezes without heartbeats
-// (the supervisor's heartbeat deadline trips), and worker.* sites crash
-// the simulation engine in here instead of in the daemon.
+// <ms> is the request's remaining deadline budget; <steps> and <workers>
+// are the parent Service's default step budget and workers per simulation
+// (ServeConfig::DefaultMaxSteps / ExecWorkers), so a sandboxed request runs
+// under the same budgets as an in-process one. <spec> forwards the
+// parent's armed fault-injection spec ("-" = none), so deterministic fault
+// drills cross the process boundary: sandbox.kill raises SIGKILL
+// mid-request, sandbox.hang freezes without heartbeats (the supervisor's
+// heartbeat deadline trips), and worker.* sites crash the simulation
+// engine in here instead of in the daemon.
 //
 // Execution itself is serve::executeRequest — the same attempt core the
 // in-process service uses — at ladder level 0: the sandbox exists for
@@ -125,7 +129,7 @@ struct Heartbeat {
 /// Runs one decoded frame and renders the response line. Never lets an
 /// engine exception escape as an unframed abort — the supervisor would
 /// classify the death, but a structured line preserves the taxonomy.
-std::string handleFrame(int64_t RemainingMs, const std::string &Json) {
+std::string handleFrame(const ExecEnv &Env, const std::string &Json) {
   ServeRequest Req;
   ServeResponse Resp;
   std::string ParseErr = parseRequest(Json, Req);
@@ -137,12 +141,6 @@ std::string handleFrame(int64_t RemainingMs, const std::string &Json) {
     Resp.Error = ParseErr;
     return Resp.render();
   }
-
-  ExecEnv Env;
-  Env.Level = 0;
-  Env.RemainingMs = RemainingMs;
-  Env.DefaultMaxSteps = envInt64("TAWA_SERVE_MAX_STEPS", Env.DefaultMaxSteps);
-  Env.ExecWorkers = envInt64("TAWA_SERVE_EXEC_WORKERS", Env.ExecWorkers);
 
   ErrorKind Kind = ErrorKind::None;
   std::string Err;
@@ -192,19 +190,26 @@ int main() {
     if (Line.empty())
       continue;
 
-    // Frame: req <remaining-ms> <fault-spec|-> <json>.
+    // Frame: req <remaining-ms> <max-steps> <exec-workers> <fault-spec|->
+    // <json>. A malformed frame is a corrupted stream: die loudly, the
+    // supervisor replaces us.
     if (Line.compare(0, 4, "req ") != 0)
-      return 2; // Corrupted stream; die loudly, the supervisor replaces us.
-    size_t MsEnd = Line.find(' ', 4);
-    if (MsEnd == std::string::npos)
       return 2;
-    size_t SpecEnd = Line.find(' ', MsEnd + 1);
-    if (SpecEnd == std::string::npos)
-      return 2;
-    int64_t RemainingMs =
-        std::strtoll(Line.c_str() + 4, nullptr, 10);
-    std::string Spec = Line.substr(MsEnd + 1, SpecEnd - MsEnd - 1);
-    std::string Json = Line.substr(SpecEnd + 1);
+    std::string Fields[4];
+    size_t Pos = 4;
+    for (std::string &F : Fields) {
+      size_t End = Line.find(' ', Pos);
+      if (End == std::string::npos)
+        return 2;
+      F = Line.substr(Pos, End - Pos);
+      Pos = End + 1;
+    }
+    ExecEnv Env; // Level 0: the sandbox exists for isolation.
+    Env.RemainingMs = std::strtoll(Fields[0].c_str(), nullptr, 10);
+    Env.DefaultMaxSteps = std::strtoll(Fields[1].c_str(), nullptr, 10);
+    Env.ExecWorkers = std::strtoll(Fields[2].c_str(), nullptr, 10);
+    const std::string &Spec = Fields[3];
+    std::string Json = Line.substr(Pos);
 
     // Mirror the parent's fault-injection state for this request. A bad
     // spec cannot happen through the supervisor (the parent validated it
@@ -229,7 +234,7 @@ int main() {
     if (faults::enabled() &&
         faults::shouldFailNext(faults::Site::SandboxKill))
       ::raise(SIGKILL);
-    std::string RespLine = handleFrame(RemainingMs, Json);
+    std::string RespLine = handleFrame(Env, Json);
     Hb.end();
 
     if (!writeAll(RespLine + "\n"))
