@@ -327,8 +327,10 @@ tawa::buildGroupedGemmModule(IrContext &Ctx, const GemmKernelConfig &Config) {
   Value *AccOut = Loop->getResult(0);
   Value *COut = B.createCast(AccOut, Ctx.getF16Type());
 
-  // Masked pointer epilogue: rows at or past m_size select a -1 linear
-  // index, which tt.store's bounds check drops (partial-tile masking).
+  // Masked pointer epilogue: rows at or past m_size and columns at or past
+  // N select a -1 linear index, which tt.store's bounds check drops
+  // (partial-tile masking). Without the column mask a tile wider than N
+  // would alias row*N + col into the next row, which another CTA owns.
   auto *RowTy = Ctx.getTensorType({Config.TileM}, I32);
   auto *ColTy = Ctx.getTensorType({Config.TileN}, I32);
   auto *IdxTy = Ctx.getTensorType({Config.TileM, Config.TileN}, I32);
@@ -346,9 +348,11 @@ tawa::buildGroupedGemmModule(IrContext &Ctx, const GemmKernelConfig &Config) {
   Value *StrideCm = B.createSplat(DimN, IdxTy);
   Value *Linear = B.createBinaryI(
       OpKind::AddI, B.createBinaryI(OpKind::MulI, RowIdx, StrideCm), ColIdx);
+  Value *NoStore = B.createConstantTensor(-1.0, IdxTy);
+  Value *ColValid = B.createCmpSlt(ColIdx, StrideCm);
+  Value *InCols = B.createSelect(ColValid, Linear, NoStore);
   Value *Valid = B.createCmpSlt(RowLoc2, B.createSplat(MSize, IdxTy));
-  Value *Masked =
-      B.createSelect(Valid, Linear, B.createConstantTensor(-1.0, IdxTy));
+  Value *Masked = B.createSelect(Valid, InCols, NoStore);
   Value *CPtrs = B.createAddPtr(B.createSplat(CDesc, PtrTy), Masked);
   B.createStore(CPtrs, COut);
 

@@ -80,7 +80,7 @@ std::unique_ptr<Module> buildSplitKGemmModule(IrContext &Ctx,
 /// axis 0 walks the (m tile, n tile) pairs of ONE expert (row-major,
 /// n-major-inner derived from arg N); axis 1 is the expert id — the driver
 /// launches a data-dependent ragged CTA list through runCtaBatch. Rows past
-/// m_size_e are masked off in the store (partial tiles).
+/// m_size_e and columns past N are masked off in the store (partial tiles).
 std::unique_ptr<Module> buildGroupedGemmModule(IrContext &Ctx,
                                                const GemmKernelConfig &Config);
 

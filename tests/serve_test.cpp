@@ -632,6 +632,10 @@ TEST(ServeSocket, RoundTripAndGracefulShutdown) {
   ASSERT_TRUE(recvLine(A, BufA, Line));
   EXPECT_EQ(respField(Line, "status"), "ok");
   EXPECT_EQ(respField(Line, "id"), "hello");
+  // The executor writes a response before the request stops counting as
+  // in-flight, so "hello" can still be in flight here; the wait for the
+  // parked request below must not mistake it for that one.
+  waitInflight(Svc, 0);
 
   // Park one request on the gate, connect a second client, then start a
   // graceful shutdown: the parked request must complete and the late one
